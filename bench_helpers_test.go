@@ -28,7 +28,7 @@ func newBenchVM() *vm.VM {
 // helper addresses into an engine.
 func compileForBench(b *testing.B, p *ebpf.Program) (*native.Program, *native.Engine, *xabi.Env) {
 	b.Helper()
-	bin, err := jit.Compile(p, native.ArchX64)
+	bin, err := jit.Compile(p, native.ArchX64, p.Digest())
 	if err != nil {
 		b.Fatal(err)
 	}

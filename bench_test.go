@@ -118,7 +118,7 @@ func BenchmarkFig4bJITCompile(b *testing.B) {
 	p := progen.MustGenerate(progen.Options{Size: 1300, Seed: 1, WithHelpers: true})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := jit.Compile(p, native.ArchX64); err != nil {
+		if _, err := jit.Compile(p, native.ArchX64, p.Digest()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -126,7 +126,7 @@ func BenchmarkFig4bJITCompile(b *testing.B) {
 
 func BenchmarkFig4bLink(b *testing.B) {
 	p := progen.MustGenerate(progen.Options{Size: 1300, Seed: 1, WithHelpers: true})
-	bin, err := jit.Compile(p, native.ArchX64)
+	bin, err := jit.Compile(p, native.ArchX64, p.Digest())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -21,8 +21,20 @@ import (
 
 // HelperSymbol returns the relocation symbol for helper id.
 func HelperSymbol(id int) string {
+	if id >= 0 && id < len(helperSymbols) {
+		return helperSymbols[id]
+	}
 	return "helper:" + xabi.HelperName(id)
 }
+
+// helperSymbols precomputes HelperSymbol for every id up to the ABI's
+// highest, so compiling a call emits no string concatenation.
+var helperSymbols = func() (syms [xabi.HelperGetBodyLen + 1]string) {
+	for id := range syms {
+		syms[id] = "helper:" + xabi.HelperName(id)
+	}
+	return syms
+}()
 
 // MapSymbol returns the relocation symbol for a program's map reference.
 func MapSymbol(name string) string {
@@ -33,7 +45,11 @@ func MapSymbol(name string) string {
 // already have passed verification; Compile performs only the structural
 // checks it needs to translate safely and returns an error on malformed
 // input rather than re-proving safety.
-func Compile(p *ebpf.Program, arch native.Arch) (*native.Binary, error) {
+//
+// digest is p.Digest(), stamped on the binary as its SourceDigest. Callers
+// pass it in because they usually hold it already (ext.Extension memoizes
+// it), and recomputing it re-encodes and hashes every instruction.
+func Compile(p *ebpf.Program, arch native.Arch, digest string) (*native.Binary, error) {
 	insns := p.Insns
 	if len(insns) == 0 {
 		return nil, fmt.Errorf("jit: empty program")
@@ -56,7 +72,7 @@ func Compile(p *ebpf.Program, arch native.Arch) (*native.Binary, error) {
 	nativeIdx[len(insns)] = n
 
 	// Pass 2: emit.
-	asm := native.NewAssembler(arch)
+	asm := native.NewAssembler(arch, n)
 	for i := 0; i < len(insns); i++ {
 		ins := insns[i]
 		switch ins.Class() {
@@ -126,7 +142,7 @@ func Compile(p *ebpf.Program, arch native.Arch) (*native.Binary, error) {
 		}
 	}
 
-	return asm.Finish(p.Name, p.Digest(), uint32(xabi.StackSize)), nil
+	return asm.Finish(p.Name, digest, uint32(xabi.StackSize)), nil
 }
 
 func emitALU(asm *native.Assembler, ins ebpf.Instruction) error {
@@ -227,9 +243,10 @@ var Targets = []native.Arch{native.ArchX64, native.ArchA64}
 
 // CompileAll compiles p for every target architecture.
 func CompileAll(p *ebpf.Program) (map[native.Arch]*native.Binary, error) {
+	digest := p.Digest()
 	out := make(map[native.Arch]*native.Binary, len(Targets))
 	for _, arch := range Targets {
-		b, err := Compile(p, arch)
+		b, err := Compile(p, arch, digest)
 		if err != nil {
 			return nil, fmt.Errorf("jit: %v: %w", arch, err)
 		}

@@ -51,7 +51,7 @@ func (g *fakeGOT) resolve(kind native.RelocKind, sym string) (uint64, bool) {
 // compileLinkRun JIT-compiles, links against a fake GOT, and executes.
 func compileLinkRun(t *testing.T, p *ebpf.Program, arch native.Arch, env *xabi.Env, ctx []byte, mapAddrs map[string]uint64) (uint64, error) {
 	t.Helper()
-	bin, err := Compile(p, arch)
+	bin, err := Compile(p, arch, p.Digest())
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestCompileMinimal(t *testing.T) {
 }
 
 func TestCompileEmptyRejected(t *testing.T) {
-	if _, err := Compile(ebpf.NewProgram("e", ebpf.ProgTypeSocketFilter, nil), native.ArchX64); err == nil {
+	if _, err := Compile(ebpf.NewProgram("e", ebpf.ProgTypeSocketFilter, nil), native.ArchX64, ""); err == nil {
 		t.Error("empty program compiled")
 	}
 }
@@ -125,7 +125,7 @@ func TestCompileHelperReloc(t *testing.T) {
 		ebpf.Call(xabi.HelperKtimeGetNS),
 		ebpf.Exit(),
 	})
-	bin, err := Compile(p, native.ArchX64)
+	bin, err := Compile(p, native.ArchX64, p.Digest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestDifferentialWithMaps(t *testing.T) {
 
 		for _, arch := range Targets {
 			memN, viewN := mkMap()
-			bin, err := Compile(p, arch)
+			bin, err := Compile(p, arch, p.Digest())
 			if err != nil {
 				t.Fatal(err)
 			}

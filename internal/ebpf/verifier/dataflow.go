@@ -5,64 +5,86 @@ import (
 	"rdx/internal/xabi"
 )
 
-// dataflow runs the abstract interpretation: a worklist over per-instruction
-// states with join at merge points and branch-sensitive refinement of
-// map-value null checks.
+// dataflow runs the abstract interpretation in one pass over v.order. Every
+// CFG edge points forward in that order, so each instruction is simulated
+// exactly once, after all of its predecessors, on the join of their output
+// states, with branch-sensitive refinement of map-value null checks.
+//
+// One working state is carried from an instruction to the next one in
+// order when that edge is the next instruction's only way in (straight-line
+// code). Every other edge parks its output at the target, joined with any
+// state already parked there, in a slot of a pool that is reused as targets
+// are consumed.
 func (v *vstate) dataflow() error {
 	insns := v.prog.Insns
 	n := len(insns)
 
-	states := make([]*absState, n)
-	entry := &absState{}
-	entry.regs[ebpf.R1] = regState{typ: tCtxPtr}
-	entry.regs[ebpf.R10] = regState{typ: tStackPtr}
-	states[0] = entry
-
-	work := []int{0}
-	visits := 0
-	for len(work) > 0 {
-		idx := work[len(work)-1]
-		work = work[:len(work)-1]
-		visits++
-		if visits > v.cfg.MaxVisits {
-			return errAt(idx, insns[idx], "state-visit budget exhausted (program too complex)")
+	// Incoming edges per instruction. A branch whose two edges share a
+	// target counts twice, so that target's in-state is a join.
+	preds := make([]int32, n)
+	for _, s := range v.succs {
+		for _, t := range s {
+			if t >= 0 {
+				preds[t]++
+			}
 		}
+	}
+	parked := make([]int32, n) // 1 + pool slot of the insn's in-state; 0 = none
+	var pool []absState
+	var free []int32
 
-		cur := *states[idx] // value copy: simulation mutates it
-		ins := insns[idx]
-
-		// Simulate, producing per-successor output states.
-		outs, err := v.step(idx, ins, &cur)
+	var cur, taken absState
+	cur.regs[ebpf.R1] = regState{typ: tCtxPtr}
+	cur.regs[ebpf.R10] = regState{typ: tStackPtr}
+	for k, idx := range v.order {
+		if slot := parked[idx] - 1; slot >= 0 {
+			cur = pool[slot]
+			free = append(free, slot)
+		}
+		split, err := v.step(idx, insns[idx], &cur, &taken)
 		if err != nil {
 			return err
 		}
-		for e := 0; e < 2; e++ {
-			succ := v.succs[idx][e]
+		next := -1
+		if k+1 < n {
+			next = v.order[k+1]
+		}
+		// Edge 0 is settled before edge 1 may overwrite cur by carrying
+		// the taken state.
+		for e, succ := range v.succs[idx] {
 			if succ < 0 {
 				continue
 			}
-			out := outs[e]
-			if out == nil {
-				out = outs[0]
+			out := &cur
+			if e == 1 && split {
+				out = &taken
 			}
-			if states[succ] == nil {
-				cp := *out
-				states[succ] = &cp
-				work = append(work, succ)
-			} else if join(states[succ], out) {
-				work = append(work, succ)
+			switch {
+			case succ == next && preds[succ] == 1:
+				if out != &cur {
+					cur = *out
+				}
+			case parked[succ] > 0:
+				join(&pool[parked[succ]-1], out)
+			case len(free) > 0:
+				slot := free[len(free)-1]
+				free = free[:len(free)-1]
+				pool[slot] = *out
+				parked[succ] = slot + 1
+			default:
+				pool = append(pool, *out)
+				parked[succ] = int32(len(pool))
 			}
 		}
 	}
 	return nil
 }
 
-// step simulates one instruction over st, returning output states for the
-// fallthrough edge (index 0) and branch-taken edge (index 1, nil to reuse).
-func (v *vstate) step(idx int, ins ebpf.Instruction, st *absState) ([2]*absState, error) {
-	var outs [2]*absState
-	outs[0] = st
-
+// step simulates one instruction over st, leaving the fall-through (or
+// only) output state in st. A conditional branch that refines types per
+// edge writes the branch-taken state to taken and reports split; otherwise
+// both edges leave with st.
+func (v *vstate) step(idx int, ins ebpf.Instruction, st, taken *absState) (split bool, err error) {
 	requireInit := func(r uint8) error {
 		if st.regs[r].typ == tUninit {
 			return errAt(idx, ins, "r%d used before initialization", r)
@@ -72,11 +94,11 @@ func (v *vstate) step(idx int, ins ebpf.Instruction, st *absState) ([2]*absState
 
 	switch ins.Class() {
 	case ebpf.ClassALU, ebpf.ClassALU64:
-		return outs, v.stepALU(idx, ins, st)
+		return false, v.stepALU(idx, ins, st)
 
 	case ebpf.ClassLD: // LDDW pair
 		if v.isCont[idx] {
-			return outs, nil // continuation slot: no-op
+			return false, nil // continuation slot: no-op
 		}
 		if ins.Src == ebpf.PseudoMapFD {
 			st.regs[ins.Dst] = regState{typ: tMapHandle, mapIdx: ins.Imm}
@@ -85,55 +107,55 @@ func (v *vstate) step(idx int, ins ebpf.Instruction, st *absState) ([2]*absState
 			hi := uint64(uint32(v.prog.Insns[idx+1].Imm))
 			st.regs[ins.Dst] = constScalar(int64(lo | hi<<32))
 		}
-		return outs, nil
+		return false, nil
 
 	case ebpf.ClassLDX:
 		if err := requireInit(ins.Src); err != nil {
-			return outs, err
+			return false, err
 		}
 		size := ins.MemSize()
 		if err := v.checkMemAccess(idx, ins, st, ins.Src, int64(ins.Off), size, false); err != nil {
-			return outs, err
+			return false, err
 		}
 		st.regs[ins.Dst] = scalar()
-		return outs, nil
+		return false, nil
 
 	case ebpf.ClassSTX:
 		if err := requireInit(ins.Src); err != nil {
-			return outs, err
+			return false, err
 		}
 		if err := requireInit(ins.Dst); err != nil {
-			return outs, err
+			return false, err
 		}
 		if st.regs[ins.Src].typ != tScalar {
 			// Spilling pointers is not supported by this verifier;
 			// reject rather than lose track of them.
-			return outs, errAt(idx, ins, "storing %s is not allowed (only scalars may be stored)", st.regs[ins.Src].typ)
+			return false, errAt(idx, ins, "storing %s is not allowed (only scalars may be stored)", st.regs[ins.Src].typ)
 		}
-		return outs, v.checkMemAccess(idx, ins, st, ins.Dst, int64(ins.Off), ins.MemSize(), true)
+		return false, v.checkMemAccess(idx, ins, st, ins.Dst, int64(ins.Off), ins.MemSize(), true)
 
 	case ebpf.ClassST:
 		if err := requireInit(ins.Dst); err != nil {
-			return outs, err
+			return false, err
 		}
-		return outs, v.checkMemAccess(idx, ins, st, ins.Dst, int64(ins.Off), ins.MemSize(), true)
+		return false, v.checkMemAccess(idx, ins, st, ins.Dst, int64(ins.Off), ins.MemSize(), true)
 
 	case ebpf.ClassJMP:
 		switch ins.JmpOp() {
 		case ebpf.JmpExit:
 			if st.regs[ebpf.R0].typ == tUninit {
-				return outs, errAt(idx, ins, "R0 not set before exit")
+				return false, errAt(idx, ins, "R0 not set before exit")
 			}
-			return outs, nil
+			return false, nil
 		case ebpf.JmpJA:
-			return outs, nil
+			return false, nil
 		case ebpf.JmpCall:
-			return outs, v.stepCall(idx, ins, st)
+			return false, v.stepCall(idx, ins, st)
 		default:
-			return v.stepBranch(idx, ins, st)
+			return v.stepBranch(idx, ins, st, taken)
 		}
 	}
-	return outs, errAt(idx, ins, "unhandled instruction class")
+	return false, errAt(idx, ins, "unhandled instruction class")
 }
 
 func (v *vstate) stepALU(idx int, ins ebpf.Instruction, st *absState) error {
@@ -450,17 +472,16 @@ func (v *vstate) stepCall(idx int, ins ebpf.Instruction, st *absState) error {
 
 // stepBranch handles conditional jumps, refining map-value-or-null types on
 // equality comparisons against zero.
-func (v *vstate) stepBranch(idx int, ins ebpf.Instruction, st *absState) ([2]*absState, error) {
-	var outs [2]*absState
+func (v *vstate) stepBranch(idx int, ins ebpf.Instruction, st, taken *absState) (split bool, err error) {
 	dst := st.regs[ins.Dst]
 	if dst.typ == tUninit {
-		return outs, errAt(idx, ins, "r%d used before initialization", ins.Dst)
+		return false, errAt(idx, ins, "r%d used before initialization", ins.Dst)
 	}
 	var srcTyp regType = tScalar
 	if ins.UsesX() {
 		srcTyp = st.regs[ins.Src].typ
 		if srcTyp == tUninit {
-			return outs, errAt(idx, ins, "r%d used before initialization", ins.Src)
+			return false, errAt(idx, ins, "r%d used before initialization", ins.Src)
 		}
 	}
 
@@ -470,27 +491,24 @@ func (v *vstate) stepBranch(idx int, ins ebpf.Instruction, st *absState) ([2]*ab
 	isNullCheck := dst.typ == tMapValueOrNull && !ins.UsesX() && ins.Imm == 0 &&
 		(ins.JmpOp() == ebpf.JmpJEQ || ins.JmpOp() == ebpf.JmpJNE)
 	if isNullCheck {
-		fall := *st
-		taken := *st
+		*taken = *st
 		nonNull := regState{typ: tMapValue, mapIdx: dst.mapIdx}
 		null := constScalar(0)
 		if ins.JmpOp() == ebpf.JmpJEQ {
 			// taken: value == 0 (null); fallthrough: non-null.
 			taken.regs[ins.Dst] = null
-			fall.regs[ins.Dst] = nonNull
+			st.regs[ins.Dst] = nonNull
 		} else {
 			taken.regs[ins.Dst] = nonNull
-			fall.regs[ins.Dst] = null
+			st.regs[ins.Dst] = null
 		}
-		outs[0], outs[1] = &fall, &taken
-		return outs, nil
+		return true, nil
 	}
 
 	if dst.typ != tScalar || srcTyp != tScalar {
 		if dst.typ != srcTyp {
-			return outs, errAt(idx, ins, "comparison between %s and %s", dst.typ, srcTyp)
+			return false, errAt(idx, ins, "comparison between %s and %s", dst.typ, srcTyp)
 		}
 	}
-	outs[0] = st
-	return outs, nil
+	return false, nil
 }

@@ -142,7 +142,7 @@ func runAccepted(t *testing.T, rng *rand.Rand, p *ebpf.Program, round int) {
 	}
 
 	// Differential: JIT + native engine must agree.
-	bin, err := jit.Compile(p, native.ArchX64)
+	bin, err := jit.Compile(p, native.ArchX64, p.Digest())
 	if err != nil {
 		t.Fatalf("round %d: verified program failed to compile: %v", round, err)
 	}

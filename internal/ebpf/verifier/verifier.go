@@ -11,10 +11,13 @@
 //   - helper discipline: arguments match helper signatures, caller-saved
 //     registers are clobbered, R0 is defined before exit.
 //
-// The analysis is a worklist dataflow over per-instruction abstract states
-// with branch-sensitive null-pointer refinement. Cost is deliberately real:
-// it scales linearly with instruction count, which is exactly the CPU tax
-// the paper's agent baseline pays on every node (Fig 2a / Fig 4b).
+// Because the CFG is acyclic, the analysis is a single pass over the
+// instructions in reverse postorder (a topological order recorded by the
+// cycle-check DFS): each instruction is simulated exactly once, with the
+// join of every incoming edge's abstract state, and branches refine
+// map-value null checks per edge. Cost is deliberately real: it scales
+// linearly with instruction count, which is exactly the CPU tax the paper's
+// agent baseline pays on every node (Fig 2a / Fig 4b).
 package verifier
 
 import (
@@ -30,8 +33,6 @@ type Config struct {
 	// MaxInsns rejects programs longer than this many slots (default 1M,
 	// like modern kernels).
 	MaxInsns int
-	// MaxVisits bounds total dataflow state visits (default 4*MaxInsns).
-	MaxVisits int
 }
 
 // DefaultConfig returns kernel-like limits.
@@ -42,9 +43,6 @@ func DefaultConfig() Config {
 func (c Config) withDefaults() Config {
 	if c.MaxInsns == 0 {
 		c.MaxInsns = 1 << 20
-	}
-	if c.MaxVisits == 0 {
-		c.MaxVisits = 4 * c.MaxInsns
 	}
 	return c
 }
@@ -222,6 +220,7 @@ type vstate struct {
 
 	isCont []bool   // slot is the second half of an LDDW
 	succs  [][2]int // up to two successors per insn; -1 = none
+	order  []int    // reverse postorder of the CFG: every edge points forward
 }
 
 // structural validates opcodes, registers, LDDW pairing, and immediate
@@ -297,8 +296,9 @@ func (v *vstate) structural() error {
 	return nil
 }
 
-// cfg builds successors, checks jump targets, rejects back edges
-// (termination) and unreachable code.
+// buildCFG builds successors, checks jump targets, rejects back edges
+// (termination) and unreachable code, and records a reverse postorder for
+// dataflow.
 func (v *vstate) buildCFG() error {
 	insns := v.prog.Insns
 	n := len(insns)
@@ -358,8 +358,10 @@ func (v *vstate) buildCFG() error {
 		black = 2
 	)
 	color := make([]uint8, n)
+	post := make([]int, 0, n)
 	type frame struct{ node, edge int }
-	stack := []frame{{0, 0}}
+	stack := make([]frame, 1, n) // depth never exceeds n; no regrowth
+	stack[0] = frame{0, 0}
 	color[0] = gray
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
@@ -384,6 +386,7 @@ func (v *vstate) buildCFG() error {
 		}
 		if !advanced {
 			color[f.node] = black
+			post = append(post, f.node)
 			stack = stack[:len(stack)-1]
 		}
 	}
@@ -392,5 +395,9 @@ func (v *vstate) buildCFG() error {
 			return errAt(i, insns[i], "unreachable instruction")
 		}
 	}
+	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
+		post[i], post[j] = post[j], post[i]
+	}
+	v.order = post
 	return nil
 }

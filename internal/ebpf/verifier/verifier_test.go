@@ -381,6 +381,45 @@ func TestBranchJoinUninitOnOnePath(t *testing.T) {
 	}), "before initialization")
 }
 
+// backwardExitProg builds an acyclic program whose exit block sits at a
+// lower index than both jumps into it, so index order visits that block
+// before its predecessors:
+//
+//	0: <entry>            4: call prandom       7: ja -6 (to 2)
+//	1: ja +2 (to 4)       5: jeq r0, 0, +2      8: <onePath>
+//	2: r0 = r3            6: r3 = 9             9: ja -8 (to 2)
+//	3: exit
+//
+// The call clobbers r1-r5, so r3 is defined at insn 2 exactly when both
+// paths, 6-7 and 8-9, define it.
+func backwardExitProg(entry, onePath ebpf.Instruction) *ebpf.Program {
+	return prog([]ebpf.Instruction{
+		entry,
+		ebpf.Ja(2),
+		ebpf.Mov64Reg(ebpf.R0, ebpf.R3),
+		ebpf.Exit(),
+		ebpf.Call(xabi.HelperGetPrandomU32),
+		ebpf.JmpImm(ebpf.JmpJEQ, ebpf.R0, 0, 2),
+		ebpf.Mov64Imm(ebpf.R3, 9),
+		ebpf.Ja(-6),
+		onePath,
+		ebpf.Ja(-8),
+	})
+}
+
+func TestBackwardJumpIntoExitBlock(t *testing.T) {
+	// r3 is uninitialized on the index-order fall-through into insn 2 but
+	// set on both real paths: only a topological walk accepts this.
+	mustVerify(t, backwardExitProg(ebpf.Mov64Imm(ebpf.R4, 1), ebpf.Mov64Imm(ebpf.R3, 5)))
+}
+
+func TestBackwardJumpIntoExitBlockUninitOnOnePath(t *testing.T) {
+	// r3 is set on the index-order fall-through into insn 2 but not on the
+	// 8-9 path: only a walk that joins both real paths first rejects it.
+	mustReject(t, backwardExitProg(ebpf.Mov64Imm(ebpf.R3, 1), ebpf.Mov64Imm(ebpf.R4, 5)),
+		"r3 used before initialization")
+}
+
 func TestRejectUnknownOpcode(t *testing.T) {
 	mustReject(t, prog([]ebpf.Instruction{
 		{Op: 0x8f}, // ALU64 class, bogus op 0x80|0x0f... NEG with SrcX

@@ -19,7 +19,7 @@ func TestCalibrate(t *testing.T) {
 		}
 		tv := time.Since(t0)
 		t1 := time.Now()
-		if _, err := jit.Compile(p, native.ArchX64); err != nil {
+		if _, err := jit.Compile(p, native.ArchX64, p.Digest()); err != nil {
 			t.Fatal(err)
 		}
 		tc := time.Since(t1)

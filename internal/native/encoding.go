@@ -23,6 +23,9 @@ func hasExt(op uint8) bool {
 	return false
 }
 
+// x64MaxSize is the widest x64 encoding: header, imm32 and ext64.
+const x64MaxSize = 5 + 4 + 8
+
 // x64Size returns the encoded size of op under the variable-length encoding.
 func x64Size(op uint8) int {
 	n := 5
@@ -44,9 +47,16 @@ type Assembler struct {
 	n      int // ops emitted
 }
 
-// NewAssembler creates an assembler for arch.
-func NewAssembler(arch Arch) *Assembler {
-	return &Assembler{arch: arch}
+// NewAssembler creates an assembler for arch whose code buffer has room for
+// ops instructions of the widest encoding, so a caller that knows its op
+// count emits without regrowing the buffer. ops is only a size hint; pass 0
+// when the count is unknown.
+func NewAssembler(arch Arch, ops int) *Assembler {
+	width := a64InstSize
+	if arch == ArchX64 {
+		width = x64MaxSize
+	}
+	return &Assembler{arch: arch, code: make([]byte, 0, ops*width)}
 }
 
 // Len returns the number of ops emitted so far (the next op's index).
@@ -67,7 +77,6 @@ func (s *Assembler) extOffset(op uint8, pos int) uint32 {
 
 // Emit appends one instruction and returns its op index.
 func (s *Assembler) Emit(i Inst) int {
-	pos := len(s.code)
 	switch s.arch {
 	case ArchA64:
 		var b [a64InstSize]byte
@@ -90,7 +99,6 @@ func (s *Assembler) Emit(i Inst) int {
 	default:
 		panic(fmt.Sprintf("native: assembler for unknown arch %v", s.arch))
 	}
-	_ = pos
 	s.n++
 	return s.n - 1
 }

@@ -39,7 +39,7 @@ func newTestNode(t *testing.T, hooks ...string) *Node {
 // (the agent's load path) and returns the blob address.
 func deployEBPF(t *testing.T, n *Node, hook string, p *ebpf.Program, extra map[string]uint64, version uint64) {
 	t.Helper()
-	bin, err := jit.Compile(p, n.Arch)
+	bin, err := jit.Compile(p, n.Arch, p.Digest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestUnlinkedBinaryRejected(t *testing.T) {
 		ebpf.Call(xabi.HelperKtimeGetNS),
 		ebpf.Exit(),
 	})
-	bin, err := jit.Compile(p, n.Arch)
+	bin, err := jit.Compile(p, n.Arch, p.Digest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestArchMismatchRejectedAtExec(t *testing.T) {
 	p := ebpf.NewProgram("m", ebpf.ProgTypeSocketFilter, []ebpf.Instruction{
 		ebpf.Mov64Imm(ebpf.R0, 1), ebpf.Exit(),
 	})
-	bin, _ := jit.Compile(p, other)
+	bin, _ := jit.Compile(p, other, p.Digest())
 	native.Link(bin, n.LocalResolver(nil))
 	addr, err := n.WriteBlobLocal(bin, BlobParams{Kind: KindEBPF, Version: 1})
 	if err != nil {
