@@ -384,7 +384,7 @@ func runHAStats(standbyAddr string, timeout time.Duration) {
 		}
 	}
 	fmt.Printf("lease: %s, fencing epoch %d\n", leaseState, st.Epoch)
-	fmt.Printf("ring:  tail=%d hwm=%d cap=%d epoch=%d\n", st.RingTail, st.RingHwm, st.RingCap, st.RingEpoch)
+	fmt.Printf("ring:  hwm=%d cap=%d epoch=%d\n", st.RingHwm, st.RingCap, st.RingEpoch)
 	if st.ReplayErr != nil {
 		fmt.Printf("journal: unreplayable: %v\n", st.ReplayErr)
 		return

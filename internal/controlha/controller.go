@@ -1,7 +1,7 @@
 package controlha
 
 import (
-	"context"
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -33,11 +33,11 @@ func findMR(mrs []rdma.MR, name string) (rdma.MR, error) {
 }
 
 // AttachLeader makes cp the fleet's leader: over qp (a connection to the
-// standby host), acquire the CAS lease in the witness MR, stamp the
-// journal ring with the new fencing epoch, and wire a replicated journal
-// plus the lease fence into cp's publish paths. The returned Leader's
-// lease is NOT auto-renewed; call Leader.Lease.StartRenewal for
-// long-running deployments.
+// standby host), acquire the CAS lease in the witness MR, take the journal
+// ring for the new term (Replicator.Activate: rotate its rkey, stamp the
+// fencing epoch), and wire a replicated journal plus the lease fence into
+// cp's publish paths. The returned Leader's lease is NOT auto-renewed;
+// call Leader.Lease.StartRenewal for long-running deployments.
 func AttachLeader(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration) (*Leader, error) {
 	return AttachLeaderClock(cp, qp, id, ttl, sim.Real{})
 }
@@ -45,78 +45,17 @@ func AttachLeader(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Dura
 // AttachLeaderClock is AttachLeader with an injected clock for the lease's
 // TTL arithmetic (the simulator's seam).
 func AttachLeaderClock(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration, clock sim.Clock) (*Leader, error) {
-	mrs, err := qp.QueryMRs()
-	if err != nil {
-		return nil, fmt.Errorf("controlha: MR discovery: %w", err)
-	}
-	mem := core.NewRemoteMemory(qp, mrs)
-	witness, err := findMR(mrs, WitnessMRName)
+	lease, rep, err := startTerm(cp, qp, id, ttl, clock, (*Lease).Acquire)
 	if err != nil {
 		return nil, err
 	}
-	ring, err := findMR(mrs, RingMRName)
-	if err != nil {
-		return nil, err
-	}
-	lease := NewLeaseClock(mem, witness.Addr, id, ttl, cp.Registry, clock)
-	if err := lease.Acquire(); err != nil {
-		return nil, err
-	}
-	rep := NewReplicator(mem, ring.Addr, 0, lease.Epoch(), cp.Registry)
-	if err := rep.Activate(); err != nil {
-		return nil, err
-	}
-	j := NewJournal(cp.Registry)
-	j.SetFenceSource(lease.Epoch)
-	j.SetReplicator(rep)
-	cp.SetJournal(j)
-	cp.SetFence(lease.Check)
-	return &Leader{CP: cp, Lease: lease, Journal: j, Rep: rep}, nil
+	return lead(cp, lease, rep, 0), nil
 }
 
-// TakeOver promotes a standby: steal the lease (the epoch bump fences the
-// old leader out of every dispatch CAS and ring append), pump the
-// replicated journal, replay it onto cp, and install the reconstructed
-// deployed-version map and rollback stacks on the re-attached CodeFlows
-// (keyed by NodeKey). The new term continues journaling into the same
-// ring — sequence numbers carry on from the replayed tail, so the ring
-// stays replayable end to end across any number of failovers. qp must
-// reach the standby's own host endpoint (a fabric loopback works: the
-// coordination machinery is built from the fabric's own verbs, so the
-// successor uses them even against itself).
-//
-// Returns the new leadership term and the replayed state; State.Open lists
-// the interrupted jobs the caller should re-drive. Takeover latency lands
-// in the controlha.takeover.latency histogram.
-func TakeOver(cp *core.ControlPlane, host *Host, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow) (*Leader, *State, error) {
-	return TakeOverClock(cp, host, qp, id, ttl, flows, sim.Real{})
-}
-
-// TakeOverClock is TakeOver with an injected clock (the simulator's seam).
-//
-// The FIRST act of a takeover is rotating the ring MR's rkey on the
-// standby's endpoint (FenceRing). The epoch-word CAS check inside Append
-// narrows but cannot close the deposal window: a stale leader that passed
-// the check and already holds a tail reservation can land its WRITE and
-// plain hwm CAS after the successor replayed and re-seeded sequence
-// numbers, committing a duplicate-seq entry into the live ring. Rotation
-// revokes the stale leader's rkey before the successor queries the fresh
-// MR table, so no pre-takeover verb can mutate the ring afterwards —
-// which is also what makes Reconcile (collapsing a dead reservation so
-// the ring un-wedges) safe to run. The rotation happens before the lease
-// steal: if the steal then fails, the old leader is fenced off its ring
-// without a successor — acceptable for this administrative failover path,
-// where the operator retries.
-func TakeOverClock(cp *core.ControlPlane, host *Host, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow, clock sim.Clock) (*Leader, *State, error) {
-	if clock == nil {
-		clock = sim.Real{}
-	}
-	start := clock.Now()
-	if rotateRingOnTakeover {
-		if err := host.FenceRing(); err != nil {
-			return nil, nil, fmt.Errorf("controlha: ring fence: %w", err)
-		}
-	}
+// startTerm discovers the standby's MRs over qp, claims the lease with
+// claim (Acquire or Steal), and only then activates the ring for the new
+// epoch — a candidate whose claim fails never fences the live leader.
+func startTerm(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration, clock sim.Clock, claim func(*Lease) error) (*Lease, *Replicator, error) {
 	mrs, err := qp.QueryMRs()
 	if err != nil {
 		return nil, nil, fmt.Errorf("controlha: MR discovery: %w", err)
@@ -131,34 +70,87 @@ func TakeOverClock(cp *core.ControlPlane, host *Host, qp rdma.Verbs, id uint64, 
 		return nil, nil, err
 	}
 	lease := NewLeaseClock(mem, witness.Addr, id, ttl, cp.Registry, clock)
-	if err := lease.Steal(); err != nil {
+	if err := claim(lease); err != nil {
 		return nil, nil, err
 	}
 	rep := NewReplicator(mem, ring.Addr, 0, lease.Epoch(), cp.Registry)
 	if err := rep.Activate(); err != nil {
 		return nil, nil, err
 	}
-	if rotateRingOnTakeover {
-		if err := rep.Reconcile(); err != nil {
-			return nil, nil, err
-		}
-	}
-	if _, err := host.Pump(); err != nil {
-		return nil, nil, fmt.Errorf("controlha: final pump: %w", err)
-	}
-	state, err := Replay(host.JournalBytes())
-	if err != nil {
-		return nil, nil, fmt.Errorf("controlha: journal replay: %w", err)
-	}
-	state.ApplyTo(cp, flows)
+	return lease, rep, nil
+}
+
+// lead wires a claimed term into cp: a journal continuing after seq,
+// replicated through rep, and the lease as the publish fence.
+func lead(cp *core.ControlPlane, lease *Lease, rep *Replicator, seq uint64) *Leader {
 	j := NewJournal(cp.Registry)
-	j.SeedSeq(state.LastSeq)
+	j.SeedSeq(seq)
 	j.SetFenceSource(lease.Epoch)
 	j.SetReplicator(rep)
 	cp.SetJournal(j)
 	cp.SetFence(lease.Check)
+	return &Leader{CP: cp, Lease: lease, Journal: j, Rep: rep}
+}
+
+// JournalFetcher yields the committed journal a successor replays, given
+// its view of the standby (whose MR table already holds the ring's fresh
+// rkey) and the ring MR's base address. FetchJournalView reads the ring remotely;
+// Host.PumpedJournal serves a successor co-located with the standby.
+type JournalFetcher func(mem *core.RemoteMemory, ringBase uint64) (rdma.FrameView, error)
+
+// TakeOver promotes a standby: steal the lease (the epoch bump fences the
+// old leader out of every dispatch CAS), take the ring (the rkey rotation
+// fences it out of every ring append), pump the replicated journal, replay
+// it onto cp, and install the reconstructed deployed-version map and
+// rollback stacks on the re-attached CodeFlows (keyed by NodeKey). The new
+// term continues journaling into the same ring — sequence numbers carry on
+// from the replayed tail, so the ring stays replayable end to end across
+// any number of failovers. qp must reach the standby's own host endpoint
+// (a fabric loopback works: the coordination machinery is built from the
+// fabric's own verbs, so the successor uses them even against itself).
+//
+// Returns the new leadership term and the replayed state; State.Open lists
+// the interrupted jobs the caller should re-drive. Takeover latency lands
+// in the controlha.takeover.latency histogram.
+func TakeOver(cp *core.ControlPlane, host *Host, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow) (*Leader, *State, error) {
+	return TakeOverClock(cp, qp, id, ttl, flows, host.PumpedJournal, sim.Real{})
+}
+
+// TakeOverRemote is TakeOver for a controller that does not own the standby
+// host's arena (rdxctl failover): the journal is fetched over one-sided
+// READs from the ring MR instead of pumped locally. Requires an unwrapped
+// ring; a continuously pumping standby should promote itself with TakeOver
+// instead.
+func TakeOverRemote(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow) (*Leader, *State, error) {
+	return TakeOverClock(cp, qp, id, ttl, flows, FetchJournalView, sim.Real{})
+}
+
+// TakeOverClock is the takeover routine behind TakeOver and TakeOverRemote,
+// with the journal source and the clock injected (the simulator's seam).
+// The journal is read only after Activate rotated the ring's rkey, so no
+// verb of the deposed term can commit past the replayed prefix.
+func TakeOverClock(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow, journal JournalFetcher, clock sim.Clock) (*Leader, *State, error) {
+	if clock == nil {
+		clock = sim.Real{}
+	}
+	start := clock.Now()
+	lease, rep, err := startTerm(cp, qp, id, ttl, clock, (*Lease).Steal)
+	if err != nil {
+		return nil, nil, err
+	}
+	view, err := journal(rep.mem, rep.base)
+	if err != nil {
+		return nil, nil, err
+	}
+	state, err := Replay(view.Bytes())
+	view.Release()
+	if err != nil {
+		return nil, nil, fmt.Errorf("controlha: journal replay: %w", err)
+	}
+	state.ApplyTo(cp, flows)
+	ldr := lead(cp, lease, rep, state.LastSeq)
 	cp.Registry.Histogram("controlha.takeover.latency").RecordDuration(clock.Since(start))
-	return &Leader{CP: cp, Lease: lease, Journal: j, Rep: rep}, state, nil
+	return ldr, state, nil
 }
 
 // Detach removes the term's hooks from the control plane and stops lease
@@ -180,22 +172,18 @@ func (l *Leader) Detach() {
 // like rdxctl). The caller must Release the view; Replay copies everything
 // it keeps, so releasing right after replay is safe.
 func FetchJournalView(mem *core.RemoteMemory, base uint64) (rdma.FrameView, error) {
-	hwm, err := mem.ReadMem(base+ringOffHwm, 8)
+	hdr, err := readRingHeader(mem, base)
 	if err != nil {
-		return rdma.FrameView{}, fmt.Errorf("controlha: ring read: %w", err)
+		return rdma.FrameView{}, err
 	}
-	dataCap, err := mem.ReadMem(base+ringOffCap, 8)
-	if err != nil {
-		return rdma.FrameView{}, fmt.Errorf("controlha: ring read: %w", err)
-	}
-	if hwm > dataCap {
+	if hdr.hwm > hdr.cap {
 		return rdma.FrameView{}, fmt.Errorf("%w: %d committed bytes exceed ring capacity %d (oldest entries overwritten)",
-			ErrRingOverrun, hwm, dataCap)
+			ErrRingOverrun, hdr.hwm, hdr.cap)
 	}
-	if hwm == 0 {
+	if hdr.hwm == 0 {
 		return rdma.FrameView{}, nil
 	}
-	return mem.ReadBytesView(base+RingHdrSize, int(hwm))
+	return mem.ReadBytesView(base+RingHdrSize, int(hdr.hwm))
 }
 
 // FetchJournal is FetchJournalView for callers that keep the bytes: the
@@ -212,76 +200,12 @@ func FetchJournal(mem *core.RemoteMemory, base uint64) ([]byte, error) {
 	return append([]byte(nil), view.Bytes()...), nil
 }
 
-// TakeOverRemote is TakeOver for a controller that does not own the standby
-// host's arena (rdxctl failover): the journal is fetched over one-sided
-// READs from the ring MR instead of pumped locally. Requires an unwrapped
-// ring; a continuously pumping standby should promote itself with TakeOver
-// instead. Like TakeOverClock, the FIRST act is fencing the ring — here by
-// the remote OpRotateMR verb instead of a host-handle call — so a stale
-// leader's already-reserved WRITE/commit cannot land after the successor
-// replays (the window epoch-only fencing left open).
-func TakeOverRemote(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow) (*Leader, *State, error) {
-	start := time.Now()
-	if rotateRingOnTakeover {
-		if _, err := qp.RotateMRCtx(context.Background(), RingMRName); err != nil {
-			return nil, nil, fmt.Errorf("controlha: remote ring fence: %w", err)
-		}
-	}
-	mrs, err := qp.QueryMRs()
-	if err != nil {
-		return nil, nil, fmt.Errorf("controlha: MR discovery: %w", err)
-	}
-	mem := core.NewRemoteMemory(qp, mrs)
-	witness, err := findMR(mrs, WitnessMRName)
-	if err != nil {
-		return nil, nil, err
-	}
-	ring, err := findMR(mrs, RingMRName)
-	if err != nil {
-		return nil, nil, err
-	}
-	lease := NewLease(mem, witness.Addr, id, ttl, cp.Registry)
-	if err := lease.Steal(); err != nil {
-		return nil, nil, err
-	}
-	rep := NewReplicator(mem, ring.Addr, 0, lease.Epoch(), cp.Registry)
-	if err := rep.Activate(); err != nil {
-		return nil, nil, err
-	}
-	if rotateRingOnTakeover {
-		// The rotation may have fenced a dead reservation mid-flight;
-		// collapse it so the ring un-wedges (same as TakeOverClock).
-		if err := rep.Reconcile(); err != nil {
-			return nil, nil, err
-		}
-	}
-	view, err := FetchJournalView(mem, ring.Addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	state, err := Replay(view.Bytes())
-	view.Release()
-	if err != nil {
-		return nil, nil, fmt.Errorf("controlha: journal replay: %w", err)
-	}
-	state.ApplyTo(cp, flows)
-	j := NewJournal(cp.Registry)
-	j.SeedSeq(state.LastSeq)
-	j.SetFenceSource(lease.Epoch)
-	j.SetReplicator(rep)
-	cp.SetJournal(j)
-	cp.SetFence(lease.Check)
-	cp.Registry.Histogram("controlha.takeover.latency").RecordDuration(time.Since(start))
-	return &Leader{CP: cp, Lease: lease, Journal: j, Rep: rep}, state, nil
-}
-
 // HAStatus is a read-only snapshot of a standby host's coordination state,
 // taken entirely with one-sided READs (rdxctl stats -ha).
 type HAStatus struct {
 	Owner     uint64    // lease owner ID, 0 = vacant
 	Expiry    time.Time // lease deadline
 	Epoch     uint64    // fencing epoch
-	RingTail  uint64    // reserved bytes
 	RingHwm   uint64    // committed bytes
 	RingEpoch uint64    // epoch stamped into the ring
 	RingCap   uint64    // ring data capacity
@@ -305,30 +229,23 @@ func Inspect(qp rdma.Verbs) (*HAStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &HAStatus{}
-	reads := []struct {
-		addr uint64
-		dst  *uint64
-	}{
-		{witness.Addr + witnessOffOwner, &st.Owner},
-		{witness.Addr + witnessOffEpoch, &st.Epoch},
-		{ring.Addr + ringOffTail, &st.RingTail},
-		{ring.Addr + ringOffHwm, &st.RingHwm},
-		{ring.Addr + ringOffEpoch, &st.RingEpoch},
-		{ring.Addr + ringOffCap, &st.RingCap},
+	hdr, err := readRingHeader(mem, ring.Addr)
+	if err != nil {
+		return nil, err
 	}
-	for _, r := range reads {
-		v, err := mem.ReadMem(r.addr, 8)
-		if err != nil {
-			return nil, fmt.Errorf("controlha: status read: %w", err)
-		}
-		*r.dst = v
-	}
-	expiry, err := mem.ReadMem(witness.Addr+witnessOffExpiry, 8)
+	w, err := mem.ReadBytes(witness.Addr, witnessOffEpoch+8)
 	if err != nil {
 		return nil, fmt.Errorf("controlha: status read: %w", err)
 	}
-	if expiry != 0 {
+	le := binary.LittleEndian
+	st := &HAStatus{
+		Owner:     le.Uint64(w[witnessOffOwner:]),
+		Epoch:     le.Uint64(w[witnessOffEpoch:]),
+		RingHwm:   hdr.hwm,
+		RingEpoch: hdr.epoch,
+		RingCap:   hdr.cap,
+	}
+	if expiry := le.Uint64(w[witnessOffExpiry:]); expiry != 0 {
 		st.Expiry = time.Unix(0, int64(expiry))
 	}
 	journal, err := FetchJournal(mem, ring.Addr)

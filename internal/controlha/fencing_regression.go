@@ -2,10 +2,10 @@
 
 package controlha
 
-// Regression build: takeover does NOT rotate the ring rkey, restoring the
-// historical protocol in which fencing relied on the epoch-word CAS check
-// alone. Under that protocol a stale leader that passed the epoch check
-// and held a tail reservation could commit a duplicate-sequence entry
-// after the successor re-seeded — the bug the simulator's journal
-// invariants catch (go test -tags simregression ./internal/sim/...).
-const rotateRingOnTakeover = false
+// Regression build: Activate does NOT rotate the ring rkey, restoring the
+// historical fencing hole. Without the rotation a deposed leader's
+// already-issued WRITE and commit CAS still land, so it can commit an
+// entry past the sequence the successor replayed — the bug the
+// simulator's journal invariants catch
+// (go test -tags simregression ./internal/sim/...).
+const rotateRingOnActivate = false

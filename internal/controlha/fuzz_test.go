@@ -56,7 +56,7 @@ func FuzzJournalReplay(f *testing.F) {
 }
 
 // FuzzJournalPumpThroughSim drives arbitrary journal bytes through the
-// REAL lease-acquire + replicator-append protocol over the simulator's
+// REAL lease-acquire + ring-activate + replicator-append protocol over the simulator's
 // step-controlled transport (the same fabric the model checker schedules)
 // and asserts wire faithfulness: the bytes committed to the standby's
 // ring are bit-identical to what was appended, and replaying the pumped
@@ -86,6 +86,10 @@ func FuzzJournalPumpThroughSim(f *testing.F) {
 		s := sim.New(sim.Config{Det: true})
 		net := sim.NewNet(s)
 		net.AddHost("standby", host.Endpoint().Arena(), host.Endpoint().MRs)
+		net.BindRotator("standby", func(name string) (uint32, error) {
+			mr, err := host.Endpoint().RotateMR(name)
+			return mr.RKey, err
+		})
 
 		var appendErr error
 		s.Setup("pump", func() {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"rdx/internal/core"
 	"rdx/internal/mem"
 	"rdx/internal/rdma"
 )
@@ -117,15 +118,14 @@ func (h *Host) RingBase() uint64    { return hostRingBase }
 // RingCap returns the ring's data capacity in bytes.
 func (h *Host) RingCap() uint64 { return h.ringCap }
 
-// FenceRing rotates the journal ring's rkey, invalidating every rkey a
-// previous leader resolved: its in-flight and future ring verbs fail with
-// an access error (classified as ErrFencedAppend on the leader side)
-// instead of landing. This is the RDMA-native fence a successor applies
-// FIRST during takeover — unlike the epoch-word CAS check, it closes the
-// window where a stale leader's already-reserved WRITE/commit races the
-// successor's replay. The witness MR is deliberately NOT rotated: deposed
-// leaders must still be able to read the epoch word to observe their own
-// deposal (core.ErrFenced via Lease.Check).
+// FenceRing rotates the journal ring's rkey locally, invalidating every
+// rkey a leader resolved: its in-flight and future ring verbs fail with an
+// access error (classified as ErrFencedAppend on the leader side) instead
+// of landing. Replicator.Activate applies the same fence over the wire
+// with OpRotateMR, so takeovers need no host handle. The witness MR is
+// deliberately NOT rotated: deposed leaders must still be able to read the
+// epoch word to observe their own deposal (core.ErrFenced via
+// Lease.Check).
 func (h *Host) FenceRing() error {
 	_, err := h.ep.RotateMR(RingMRName)
 	return err
@@ -137,8 +137,7 @@ func (h *Host) ChainBase() uint64 { return hostRingBase + RingHdrSize + h.ringCa
 
 // FenceChains rotates the ha-chain MR's rkey: a stale leader's pre-posted
 // renew and heartbeat chains become untriggerable — the trigger verb itself
-// fails with an access error before any resident step runs. The successor's
-// takeover applies this alongside FenceRing.
+// fails with an access error before any resident step runs.
 func (h *Host) FenceChains() error {
 	_, err := h.ep.RotateMR(ChainMRName)
 	return err
@@ -294,6 +293,17 @@ func (h *Host) JournalSource() func() ([]byte, error) {
 		}
 		return h.JournalBytes(), nil
 	}
+}
+
+// PumpedJournal is the JournalFetcher of a successor co-located with this
+// standby: it pumps freshly committed ring bytes and returns the whole
+// pumped copy, which — unlike the ring — survives wraps. The remote view
+// is not needed.
+func (h *Host) PumpedJournal(*core.RemoteMemory, uint64) (rdma.FrameView, error) {
+	if _, err := h.Pump(); err != nil {
+		return rdma.FrameView{}, fmt.Errorf("controlha: final pump: %w", err)
+	}
+	return rdma.ViewOf(h.JournalBytes()), nil
 }
 
 // Consumed returns how many replicated bytes this standby has pumped.

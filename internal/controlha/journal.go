@@ -11,9 +11,10 @@
 //     (Replay) that reconstructs the deployed-version map and per-hook
 //     rollback stacks on a fresh ControlPlane;
 //   - journal replication (Replicator) into a standby-owned ring MR via
-//     one-sided WRITEs: FETCH_ADD reserves ring space, a CAS commits the
-//     high-watermark, and the standby pumps committed bytes with local
-//     reads only;
+//     one-sided verbs: each leadership term takes the ring by rotating its
+//     rkey, so an append is one WRITE at the term's local tail plus a CAS
+//     committing the high-watermark, and the standby pumps committed bytes
+//     with local reads only;
 //   - leader election (Lease) via a CAS lease word in a witness MR, with a
 //     monotonically increasing fencing epoch threaded into core's publish
 //     paths as a core.FenceCheck — the HA analogue of the wrapEpoch guard.
@@ -315,8 +316,9 @@ func (j *Journal) SeedSeq(n uint64) {
 
 // append assigns seq + fence, encodes, appends, and replicates. Journal
 // replication failures do not fail the control-plane operation (the
-// publish already landed); they are counted and surfaced via the lag
-// gauge, which stops converging to zero.
+// publish already landed); they are counted and surfaced via the
+// controlha.journal.lag gauge — bytes this term journaled that the ring
+// has not committed — which stops converging to zero.
 func (j *Journal) append(e Entry) {
 	j.appendChecked(e) //nolint:errcheck // replication outcome surfaced via instruments
 }

@@ -523,3 +523,61 @@ func TestInjectRejectsInvalidExtension(t *testing.T) {
 		t.Error("node state mutated by rejected extension")
 	}
 }
+
+// TestRotateMRSharedTable: RotateMR adopts the fresh rkey in the table every
+// WithContext view shares, while verbs through those views run concurrently
+// (the leader's lease and journal share one RemoteMemory). A holder of the
+// pre-rotation table — another connection's RemoteMemory — is fenced.
+func TestRotateMRSharedTable(t *testing.T) {
+	ep := rdma.NewEndpoint(newRawArena(t), rdma.NoLatency())
+	ep.RegisterMR("ring", 0, 4096, rdma.PermAll)
+	ep.RegisterMR("witness", 4096, 64, rdma.PermAll)
+	fab := rdma.NewFabric()
+	l, _ := fab.Listen("standby")
+	go ep.Serve(l)
+	defer ep.Close()
+	dial := func() *RemoteMemory {
+		conn, err := fab.Dial("standby")
+		if err != nil {
+			t.Fatal(err)
+		}
+		qp := rdma.NewQP(conn)
+		mrs, err := qp.QueryMRs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewRemoteMemory(qp, mrs)
+	}
+	stale, m := dial(), dial()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			view := m.WithContext(t.Context())
+			for i := 0; i < 200; i++ {
+				// The witness is never rotated: every read must succeed.
+				if _, err := view.ReadMem(4096, 8); err != nil {
+					t.Errorf("witness read during rotation: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		if err := m.RotateMR("ring"); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.WithContext(t.Context()).WriteMem(8, 8, uint64(i)); err != nil {
+			t.Fatalf("write through the rotated table: %v", err)
+		}
+	}
+	wg.Wait()
+	if err := stale.WriteMem(8, 8, 99); !errors.Is(err, rdma.ErrAccess) {
+		t.Fatalf("write through the pre-rotation table: %v, want rdma.ErrAccess", err)
+	}
+	if err := m.RotateMR("absent"); err == nil {
+		t.Fatal("rotating an unknown region succeeded")
+	}
+}

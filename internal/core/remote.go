@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"rdx/internal/rdma"
 	"rdx/internal/verbchain"
@@ -34,8 +35,12 @@ func Retryable(err error) bool {
 // becomes a one-sided verb. This is what makes rdx_deploy_xstate and the
 // XState lookup/update interfaces of §3.4 work without host involvement.
 type RemoteMemory struct {
-	qp  rdma.Verbs
-	mrs []rdma.MR // sorted by Addr
+	qp rdma.Verbs
+
+	// mrs is the copy-on-write MR table, sorted by Addr and shared by every
+	// WithContext view: RotateMR publishes a re-keyed copy, so a rotation
+	// never races a verb resolving its rkey.
+	mrs *atomic.Pointer[[]rdma.MR]
 
 	// ctx, when non-nil, bounds every verb this view issues and carries the
 	// operation's trace ID to the wire. The xabi.Memory interface has no ctx
@@ -48,7 +53,9 @@ type RemoteMemory struct {
 func NewRemoteMemory(qp rdma.Verbs, mrs []rdma.MR) *RemoteMemory {
 	sorted := append([]rdma.MR(nil), mrs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Addr < sorted[j].Addr })
-	return &RemoteMemory{qp: qp, mrs: sorted}
+	m := &RemoteMemory{qp: qp, mrs: new(atomic.Pointer[[]rdma.MR])}
+	m.mrs.Store(&sorted)
+	return m
 }
 
 // WithContext returns a view issuing every verb under ctx — cancellation,
@@ -61,6 +68,26 @@ func (m *RemoteMemory) WithContext(ctx context.Context) *RemoteMemory {
 	return &clone
 }
 
+// RotateMR re-keys the named region on the target with the OpRotateMR verb
+// and adopts the fresh rkey in the table this memory and its WithContext
+// views share. Every other holder of the old rkey — a previous leadership
+// term's own RemoteMemory included — fails with rdma.ErrAccess from here on.
+func (m *RemoteMemory) RotateMR(name string) error {
+	rkey, err := m.qp.RotateMRCtx(m.context(), name)
+	if err != nil {
+		return err
+	}
+	mrs := append([]rdma.MR(nil), *m.mrs.Load()...)
+	for i := range mrs {
+		if mrs[i].Name == name {
+			mrs[i].RKey = rkey
+			m.mrs.Store(&mrs)
+			return nil
+		}
+	}
+	return fmt.Errorf("core: rotated MR %q is not in the table", name)
+}
+
 func (m *RemoteMemory) context() context.Context {
 	if m.ctx != nil {
 		return m.ctx
@@ -70,8 +97,9 @@ func (m *RemoteMemory) context() context.Context {
 
 // rkeyFor locates the MR covering [addr, addr+n).
 func (m *RemoteMemory) rkeyFor(addr uint64, n int) (uint32, error) {
-	for i := range m.mrs {
-		mr := &m.mrs[i]
+	mrs := *m.mrs.Load()
+	for i := range mrs {
+		mr := &mrs[i]
 		if addr >= mr.Addr && addr-mr.Addr+uint64(n) <= mr.Len {
 			return mr.RKey, nil
 		}
@@ -155,8 +183,9 @@ func (m *RemoteMemory) ChainTrigger(addr uint64, arg uint64) (rdma.ChainResult, 
 // Regions mirrors the MR table as verbchain compile-time regions, for
 // validating chain programs before they are armed remotely.
 func (m *RemoteMemory) Regions() []verbchain.Region {
-	out := make([]verbchain.Region, len(m.mrs))
-	for i, mr := range m.mrs {
+	mrs := *m.mrs.Load()
+	out := make([]verbchain.Region, len(mrs))
+	for i, mr := range mrs {
 		out[i] = verbchain.Region{
 			RKey:   mr.RKey,
 			Addr:   mr.Addr,

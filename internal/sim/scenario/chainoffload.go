@@ -70,13 +70,7 @@ func RunChainOffload(cfg sim.Config) *sim.Result {
 	}
 	defer host.Close()
 	net.AddHost(chStandby, host.Endpoint().Arena(), host.Endpoint().MRs)
-	net.BindRotator(chStandby, func(name string) (uint32, error) {
-		mr, err := host.Endpoint().RotateMR(name)
-		if err != nil {
-			return 0, err
-		}
-		return mr.RKey, nil
-	})
+	net.BindRotator(chStandby, rotator(host))
 
 	// Prologue: A becomes leader, arms both chains, and journals two
 	// publishes — unrecorded, so schedules start at the interesting part.
@@ -212,18 +206,19 @@ func RunChainOffload(cfg sim.Config) *sim.Result {
 		}
 	})
 	s.Spawn("B-takeover", func() {
-		// Fence the ring explicitly before the takeover. TakeOverClock does
-		// this itself on fixed builds, but the simregression tag re-opens the
-		// historical pre-rotation-fencing bug, and its acked-durable violation
-		// would otherwise mask the unguarded-chain bug this scenario exists to
-		// catch (the explorer stops at the first violation of any invariant).
+		// Fence the ring explicitly before the takeover.
+		// Replicator.Activate does this itself on fixed builds, but the
+		// simregression tag re-opens the historical pre-rotation-fencing
+		// bug, and its journal violation would otherwise mask the
+		// unguarded-chain bug this scenario exists to catch (the explorer
+		// stops at the first violation of any invariant).
 		// The failover scenario owns that regression; here we pin it closed so
 		// stale-chain-rejected is the only simregression-visible violation.
 		if err := host.FenceRing(); err != nil {
 			return
 		}
 		cp := core.NewControlPlane()
-		ldrB, state, err := controlha.TakeOverClock(cp, host, net.QP(chCtrlB, chStandby), chLeaderB, chTTL, nil, s.Clock())
+		ldrB, state, err := controlha.TakeOverClock(cp, net.QP(chCtrlB, chStandby), chLeaderB, chTTL, nil, host.PumpedJournal, s.Clock())
 		if err != nil {
 			return // raced or partitioned; nothing to assert
 		}

@@ -57,6 +57,15 @@ func (w *failoverWorld) recordAck(seq, fence uint64) {
 	w.mu.Unlock()
 }
 
+// rotator backs the sim's OpRotateMR verb with the standby endpoint's own
+// RotateMR, returning the fresh rkey.
+func rotator(host *controlha.Host) func(string) (uint32, error) {
+	return func(name string) (uint32, error) {
+		mr, err := host.Endpoint().RotateMR(name)
+		return mr.RKey, err
+	}
+}
+
 // appendPublishes journals n EntryPublish records, recording each ack.
 // Stops at the first failed append — a fenced or aborted leader must not
 // keep publishing.
@@ -105,6 +114,8 @@ func RunFailover(cfg sim.Config) *sim.Result {
 	}
 	defer host.Close()
 	net.AddHost(foStandby, host.Endpoint().Arena(), host.Endpoint().MRs)
+	// Every term's Replicator.Activate rotates the ring rkey over the wire.
+	net.BindRotator(foStandby, rotator(host))
 
 	// Prologue: A becomes leader and journals two publishes. Setup fires
 	// these steps in program order without recording them, so schedules
@@ -179,7 +190,7 @@ func RunFailover(cfg sim.Config) *sim.Result {
 	})
 	s.Spawn("B-takeover", func() {
 		cp := core.NewControlPlane()
-		ldrB, state, err := controlha.TakeOverClock(cp, host, net.QP(foInitiatorB, foStandby), foLeaderB, foTTL, nil, s.Clock())
+		ldrB, state, err := controlha.TakeOverClock(cp, net.QP(foInitiatorB, foStandby), foLeaderB, foTTL, nil, host.PumpedJournal, s.Clock())
 		if err != nil {
 			return // aborted or raced; nothing to assert
 		}

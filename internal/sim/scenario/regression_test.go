@@ -12,9 +12,9 @@ import (
 
 // The simregression build tag re-seeds three historical bugs:
 //
-//   - controlha: pre-rotation takeover fencing (epoch CAS only, no ring
-//     rkey rotation), letting a stale leader with a live tail reservation
-//     commit past the successor's replay point.
+//   - controlha: pre-rotation takeover fencing (Replicator.Activate does
+//     not rotate the ring rkey), letting a stale leader's in-flight WRITE
+//     and commit CAS land past the successor's replay point.
 //   - shard: the PR 8 refund-on-failure bug — a publish that lost its
 //     owner to a drain returned without refunding the admission charge.
 //   - controlha: unguarded resident chains (guardChains off) — pre-posted
@@ -38,8 +38,8 @@ func writeCorpus(t *testing.T, name string, sc *sim.Schedule) {
 	t.Logf("wrote %s", path)
 }
 
-// TestFencingRegression: the acked-durable invariant must catch the
-// stale-reservation commit escaping the successor's replay.
+// TestFencingRegression: the acked-durable or journal-replayable invariant
+// must catch the stale leader's commit escaping the successor's replay.
 func TestFencingRegression(t *testing.T) {
 	rep := sim.ExploreRandom(RunFailover, 1, regressionBudget, 300)
 	if rep.Violation == nil {
@@ -58,7 +58,7 @@ func TestFencingRegression(t *testing.T) {
 		Seed:     v.Seed,
 		Choices:  v.Choices,
 		MaxSteps: 300,
-		Note:     "pre-rotation takeover fencing: stale leader commits a live reservation past the successor's replay point (" + v.Invariant + ")",
+		Note:     "pre-rotation takeover fencing: stale leader's commit CAS lands past the successor's replay point (" + v.Invariant + ")",
 	})
 }
 
